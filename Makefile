@@ -1,7 +1,7 @@
 # Tier-1 gate: everything a PR must keep green.
-.PHONY: check fmt build vet test race race-ft serve-test transport-test peer-test partition-test tune-test front-test device-test campaign-test adapt-test docs-lint bench bench-json
+.PHONY: check fmt build vet test race race-ft serve-test transport-test peer-test partition-test tune-test front-test device-test campaign-test adapt-test lead-test docs-lint bench bench-json
 
-check: fmt build vet test race-ft serve-test transport-test peer-test partition-test tune-test front-test device-test campaign-test adapt-test docs-lint
+check: fmt build vet test race-ft serve-test transport-test peer-test partition-test tune-test front-test device-test campaign-test adapt-test lead-test docs-lint
 
 # gofmt -l prints nothing (and exits 0) on a clean tree; any output fails
 # the gate via the grep.
@@ -103,6 +103,16 @@ adapt-test:
 	go test -race -count=1 -run 'Adaptive|UniformRunBit|IntegratedCurrent|SparseGrid|AdaptSpec|AdaptConfig|ParseRejectsUnknownAdapt' ./internal/core
 	go test -race -count=1 -run 'Adaptive|DefaultAdapt|PartialGrid' ./internal/campaign ./internal/serve
 	go test -race -count=1 -run 'KeyOfAdapt' ./internal/front
+
+# Lead self-energy reuse under the race detector (the spatial path shares
+# one point's stored leads across its rank goroutines): the packed Σ_L/Σ_R
+# against fresh Sancho-Rubio decimation on every zoo kind, and core's
+# per-point cache pinned bitwise against uncached runs (serial at 1-3
+# workers, distributed 1x2, in-process space 2), its invalidation by the
+# Gummel loop, and its exact hit/miss counts.
+lead-test:
+	go test -race -count=1 -run 'Leads' ./internal/rgf
+	go test -race -count=1 -run 'LeadCache' ./internal/core
 
 # Docs lint: every relative markdown link in README, the root docs and
 # docs/ must resolve to an existing file, so renames can't silently rot the

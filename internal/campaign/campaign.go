@@ -73,11 +73,13 @@ func (r *Request) Validate() error {
 	default:
 		return fmt.Errorf("campaign: kind must be %q or %q, got %q", IV, TE, r.Kind)
 	}
-	if err := r.Config.Validate(); err != nil {
-		return fmt.Errorf("campaign: config: %w", err)
-	}
+	// The serial-only rule comes first: it rejects a distributed campaign
+	// whatever else its config holds.
 	if r.Config.Dist != "" || r.Config.Space >= 2 || r.Config.Gate != nil {
 		return fmt.Errorf("campaign: config: campaign points are plain serial runs (no dist, no space, no gate)")
+	}
+	if err := r.Config.Validate(); err != nil {
+		return fmt.Errorf("campaign: config: %w", err)
 	}
 	explicit := len(r.Biases) > 0
 	ranged := r.BiasStart != 0 || r.BiasStop != 0 || r.BiasPoints != 0

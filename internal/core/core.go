@@ -181,6 +181,10 @@ type Simulator struct {
 	// grid is the active energy grid the GF phase solves on: the full
 	// fine grid unless the adaptive runner installed a subset (SetGrid).
 	grid *egrid.Grid
+
+	// leads stores every grid point's lead self-energies across Born
+	// iterations and runs.
+	leads leadCache
 }
 
 // New builds a simulator, generating and caching H(kz), S(kz), Φ(qz).
@@ -207,6 +211,7 @@ func New(dev *device.Device, opts Options) *Simulator {
 		s.phi[qz] = dev.Dynamical(qz)
 	}
 	s.grid = egrid.Uniform(p.NE, p.Emin, p.Emax)
+	s.leads = newLeadCache(p.Nkz*p.NE, p.Nqz*p.Nw, opts.Eta)
 	return s
 }
 
@@ -214,7 +219,9 @@ func New(dev *device.Device, opts Options) *Simulator {
 // electron points only at its active energies (with its quadrature
 // weights) and fill the skipped energies by interpolation. The grid must
 // live on the device's fine grid. The adaptive runner calls this between
-// refinement rounds; a nil grid restores the full uniform grid.
+// refinement rounds; a nil grid restores the full uniform grid. The
+// stored lead self-energies are indexed on the fine grid, so they stay
+// valid across grid changes.
 func (s *Simulator) SetGrid(g *egrid.Grid) error {
 	p := s.Dev.P
 	if g == nil {
@@ -358,126 +365,193 @@ func (s *Simulator) extractPhonon(qz, w int, res *rgf.PhononResult, dl, dg *tens
 // gfPhase runs the full GF phase: all (kz, E) electron points and all
 // (qz, ω) phonon points, dynamically scheduled over the persistent worker
 // pool (at most Workers concurrent points). It returns fresh Green's
-// function tensors and accumulated contact observables.
+// function tensors and the contact observables.
 func (s *Simulator) gfPhase(ctx context.Context, sigR, sigL, sigG *tensor.GTensor, piR, piL, piG *tensor.DTensor) (
 	gl, gg *tensor.GTensor, dl, dg *tensor.DTensor, o Observables, err error) {
-	p := s.Dev.P
-	gl = tensor.NewGTensor(p.Nkz, p.NE, p.NA, p.Norb)
-	gg = tensor.NewGTensor(p.Nkz, p.NE, p.NA, p.Norb)
-	dl = tensor.NewDTensor(p.Nqz, p.Nw, p.NA, p.NB, p.N3D)
-	dg = tensor.NewDTensor(p.Nqz, p.Nw, p.NA, p.NB, p.N3D)
-	o.CurrentPerEnergy = make([]float64, p.NE)
+	g := s.newGFState(sigR, sigL, sigG, piR, piL, piG)
+	if err := g.runPool(ctx, 0, len(g.jobs)); err != nil {
+		return nil, nil, nil, nil, o, err
+	}
+	return g.gl, g.gg, g.dl, g.dg, g.finish(), nil
+}
 
+// gfJob is one grid point of the GF phase: an electron (kz, E) point, or
+// a phonon (qz, ω) point when e < 0.
+type gfJob struct{ kz, e, qz, w int }
+
+// gfState is one GF phase in flight. Each job writes only its own grid
+// point of the tensors, its own lead slot and its own contact pair;
+// finish reduces the pairs in job order, so the observables are a bitwise
+// function of the inputs whatever the worker schedule.
+type gfState struct {
+	sim              *Simulator
+	sigR, sigL, sigG *tensor.GTensor
+	piR, piL, piG    *tensor.DTensor
+	// jobs lists the electron points of the active energy grid, then the
+	// phonon points.
+	jobs []gfJob
+	// contact[i] is job i's (CurrentL, CurrentR) or (HeatL, HeatR).
+	contact        [][2]float64
+	gl, gg         *tensor.GTensor
+	dl, dg         *tensor.DTensor
+	electronPoints int
+}
+
+// newGFState lists the phase's jobs and allocates its output tensors.
+func (s *Simulator) newGFState(sigR, sigL, sigG *tensor.GTensor, piR, piL, piG *tensor.DTensor) *gfState {
+	p := s.Dev.P
+	s.leads.sync(s.Opts.Eta)
 	// The electron points come from the active energy grid — the full
-	// fine grid unless the adaptive runner installed a subset — with
-	// each point's quadrature weight carried explicitly. On the full
-	// grid every weight is bitwise the uniform ΔE (the egrid weight
-	// pin), so this accumulation reproduces the historical uniform
-	// numbers exactly.
-	grid := s.grid
-	activeE := grid.Active()
-	type job struct{ kz, e, qz, w int } // e < 0 marks a phonon job
-	jobs := make([]job, 0, p.Nkz*len(activeE)+p.Nqz*p.Nw)
+	// fine grid unless the adaptive runner installed a subset.
+	activeE := s.grid.Active()
+	jobs := make([]gfJob, 0, p.Nkz*len(activeE)+p.Nqz*p.Nw)
 	for kz := 0; kz < p.Nkz; kz++ {
 		for _, e := range activeE {
-			jobs = append(jobs, job{kz: kz, e: e})
+			jobs = append(jobs, gfJob{kz: kz, e: e})
 		}
 	}
+	ne := len(jobs)
 	for qz := 0; qz < p.Nqz; qz++ {
 		for w := 0; w < p.Nw; w++ {
-			jobs = append(jobs, job{kz: 0, e: -1, qz: qz, w: w})
+			jobs = append(jobs, gfJob{e: -1, qz: qz, w: w})
 		}
 	}
+	return &gfState{
+		sim: s, sigR: sigR, sigL: sigL, sigG: sigG, piR: piR, piL: piL, piG: piG,
+		jobs: jobs, contact: make([][2]float64, len(jobs)), electronPoints: ne,
+		gl: tensor.NewGTensor(p.Nkz, p.NE, p.NA, p.Norb),
+		gg: tensor.NewGTensor(p.Nkz, p.NE, p.NA, p.Norb),
+		dl: tensor.NewDTensor(p.Nqz, p.Nw, p.NA, p.NB, p.N3D),
+		dg: tensor.NewDTensor(p.Nqz, p.Nw, p.NA, p.NB, p.N3D),
+	}
+}
+
+// runPool solves jobs lo..hi−1 over the persistent worker pool (at most
+// Workers concurrent points) and returns the first error. Cancellation is
+// checked per grid point, so a cancelled run drains within one RGF solve
+// rather than one full phase.
+func (g *gfState) runPool(ctx context.Context, lo, hi int) error {
 	var next atomic.Int64
+	next.Store(int64(lo))
 	var mu sync.Mutex
 	var firstErr error
-	eWeight := p.EStep() / float64(p.Nkz)
-	run := func(j job) {
-		if j.e >= 0 {
-			scat := s.scatteringBlocks(j.kz, j.e, sigR, sigL, sigG)
-			res, e := rgf.SolveElectron(s.h[j.kz], s.s[j.kz], p.Energy(j.e), scat, s.Opts.Contacts, s.Opts.Eta)
-			scat.Release()
-			if e != nil {
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = fmt.Errorf("electron point (kz=%d, E=%d): %w", j.kz, j.e, e)
-				}
-				mu.Unlock()
-				return
-			}
-			s.extractElectron(j.kz, j.e, res, gl, gg)
-			res.Release()
-			we := grid.Weight(j.e) / float64(p.Nkz)
-			mu.Lock()
-			o.CurrentL += res.CurrentL * we
-			o.CurrentR += res.CurrentR * we
-			o.EnergyCurrentL += p.Energy(j.e) * res.CurrentL * we
-			o.EnergyCurrentR += p.Energy(j.e) * res.CurrentR * we
-			o.CurrentPerEnergy[j.e] += res.CurrentL
-			mu.Unlock()
-		} else {
-			scat := s.phononScatteringBlocks(j.qz, j.w, piR, piL, piG)
-			hw := float64(p.PhononShift(j.w)) * p.EStep()
-			res, e := rgf.SolvePhonon(s.phi[j.qz], hw, scat,
-				rgf.PhononContacts{KTL: s.Opts.PhononKTL, KTR: s.Opts.PhononKTR}, s.Opts.Eta)
-			scat.Release()
-			if e != nil {
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = fmt.Errorf("phonon point (qz=%d, ω=%d): %w", j.qz, j.w, e)
-				}
-				mu.Unlock()
-				return
-			}
-			s.extractPhonon(j.qz, j.w, res, dl, dg)
-			res.Release()
-			mu.Lock()
-			o.HeatL += res.HeatL * eWeight
-			o.HeatR += res.HeatR * eWeight
-			mu.Unlock()
+	fail := func(err error) {
+		mu.Lock()
+		if firstErr == nil {
+			firstErr = err
 		}
+		mu.Unlock()
 	}
-	workers := s.Opts.Workers
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	tasks := make([]pool.Task, workers)
+	tasks := make([]pool.Task, min(g.sim.Opts.Workers, hi-lo))
 	for i := range tasks {
 		tasks[i] = func() {
 			for {
 				idx := int(next.Add(1)) - 1
-				if idx >= len(jobs) {
+				if idx >= hi {
 					return
 				}
-				// Cancellation is checked per grid point, so a cancelled run
-				// drains within one RGF solve rather than one full phase.
 				if cerr := ctx.Err(); cerr != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = fmt.Errorf("core: GF phase cancelled: %w", cerr)
-					}
-					mu.Unlock()
+					fail(fmt.Errorf("core: GF phase cancelled: %w", cerr))
 					return
 				}
-				run(jobs[idx])
+				var err error
+				if g.jobs[idx].e >= 0 {
+					err = g.electron(idx)
+				} else {
+					err = g.phonon(idx)
+				}
+				if err != nil {
+					fail(err)
+				}
 			}
 		}
 	}
 	pool.Do(tasks...)
-	if firstErr != nil {
-		return nil, nil, nil, nil, o, firstErr
+	return firstErr
+}
+
+// electron solves electron job i on this goroutine.
+func (g *gfState) electron(i int) error {
+	s, j := g.sim, g.jobs[i]
+	fail := func(err error) error { return fmt.Errorf("electron point (kz=%d, E=%d): %w", j.kz, j.e, err) }
+	leads, err := s.electronLeads(j.kz, j.e)
+	if err != nil {
+		return fail(err)
 	}
-	// On a partial grid, fill the skipped energies of G^≷ (and of the
-	// spectral current, for reporting) by linear interpolation between
-	// the nearest solved neighbors: the SSE convolution consumes every
-	// fine-grid energy, so the tensors must be dense even when the
-	// solves are not.
+	scat := s.scatteringBlocks(j.kz, j.e, g.sigR, g.sigL, g.sigG)
+	res, err := rgf.SolveElectronWith(nil, true, leads, s.h[j.kz], s.s[j.kz],
+		s.Dev.P.Energy(j.e), scat, s.Opts.Contacts, s.Opts.Eta)
+	scat.Release()
+	if err != nil {
+		return fail(err)
+	}
+	g.keepElectron(i, res)
+	return nil
+}
+
+// keepElectron stores electron job i's solution and releases it.
+func (g *gfState) keepElectron(i int, res *rgf.ElectronResult) {
+	j := g.jobs[i]
+	g.sim.extractElectron(j.kz, j.e, res, g.gl, g.gg)
+	g.contact[i] = [2]float64{res.CurrentL, res.CurrentR}
+	res.Release()
+}
+
+// phonon solves phonon job i on this goroutine.
+func (g *gfState) phonon(i int) error {
+	s, j := g.sim, g.jobs[i]
+	fail := func(err error) error { return fmt.Errorf("phonon point (qz=%d, ω=%d): %w", j.qz, j.w, err) }
+	leads, err := s.phononLeads(j.qz, j.w)
+	if err != nil {
+		return fail(err)
+	}
+	scat := s.phononScatteringBlocks(j.qz, j.w, g.piR, g.piL, g.piG)
+	res, err := rgf.SolvePhononWith(leads, s.phi[j.qz], s.phononEnergy(j.w), scat,
+		rgf.PhononContacts{KTL: s.Opts.PhononKTL, KTR: s.Opts.PhononKTR}, s.Opts.Eta)
+	scat.Release()
+	if err != nil {
+		return fail(err)
+	}
+	s.extractPhonon(j.qz, j.w, res, g.dl, g.dg)
+	g.contact[i] = [2]float64{res.HeatL, res.HeatR}
+	res.Release()
+	return nil
+}
+
+// finish reduces the contact pairs in job order into the observables and,
+// on a partial grid, fills the skipped energies of G^≷ (and of the
+// spectral current, for reporting) by linear interpolation between the
+// nearest solved neighbors: the SSE convolution consumes every fine-grid
+// energy, so the tensors must be dense even when the solves are not.
+func (g *gfState) finish() (o Observables) {
+	s := g.sim
+	p := s.Dev.P
+	grid := s.grid
+	// Each point carries its quadrature weight explicitly. On the full
+	// grid every weight is bitwise the uniform ΔE (the egrid weight pin),
+	// so this reproduces the historical uniform numbers exactly.
+	o.CurrentPerEnergy = make([]float64, p.NE)
+	eWeight := p.EStep() / float64(p.Nkz)
+	for i, j := range g.jobs {
+		c := g.contact[i]
+		if j.e < 0 {
+			o.HeatL += c[0] * eWeight
+			o.HeatR += c[1] * eWeight
+			continue
+		}
+		we := grid.Weight(j.e) / float64(p.Nkz)
+		o.CurrentL += c[0] * we
+		o.CurrentR += c[1] * we
+		o.EnergyCurrentL += p.Energy(j.e) * c[0] * we
+		o.EnergyCurrentR += p.Energy(j.e) * c[1] * we
+		o.CurrentPerEnergy[j.e] += c[0]
+	}
 	if !grid.Full() {
-		interpolateInactiveG(gl, grid)
-		interpolateInactiveG(gg, grid)
+		interpolateInactiveG(g.gl, grid)
+		interpolateInactiveG(g.gg, grid)
 		grid.InterpolateValues(o.CurrentPerEnergy)
 	}
-	return gl, gg, dl, dg, o, nil
+	return o
 }
 
 // Run executes the self-consistent Born loop: Σ = Π = 0, GF phase, SSE

@@ -104,6 +104,7 @@ func (s *Simulator) applyPotential(phi []float64) {
 		}
 		s.h[kz] = h
 	}
+	s.leads.invalidateElectron()
 }
 
 // RunWithPoisson executes the coupled NEGF–Poisson loop. The simulator's
@@ -182,5 +183,6 @@ func (s *Simulator) RunWithPoissonCtx(ctx context.Context, g GateSpec) (*Electro
 	for kz := 0; kz < p.Nkz; kz++ {
 		s.h[kz] = s.Dev.Hamiltonian(kz)
 	}
+	s.leads.invalidateElectron()
 	return out, nil
 }

@@ -3,11 +3,8 @@ package core
 import (
 	"context"
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"negfsim/internal/comm"
-	"negfsim/internal/pool"
 	"negfsim/internal/rgf"
 	"negfsim/internal/tensor"
 )
@@ -20,127 +17,51 @@ import (
 // replicated diagonal: in-process exactly rank 0 closes each point, while
 // each process of a multi-process cluster closes every point on its own
 // replica, so every process accumulates the full observables and tensors
-// (bit-identical across peers) exactly once. Phonon points stay local —
-// their small systems are not worth the exchange latency — and run on the
-// worker pool as in gfPhase. The caller reads the cluster's byte counters
-// around the call; a failed point surfaces the cluster error (including
+// (bit-identical across peers) exactly once. The driver goroutine fetches
+// (or decimates) each point's lead self-energies before the collective
+// solve, and the ranks only read them. Phonon points stay local — their
+// small systems are not worth the exchange latency — and run on the worker
+// pool as in gfPhase. The caller reads the cluster's byte counters around
+// the call; a failed point surfaces the cluster error (including
 // comm.ErrRankDead) wrapped with its grid coordinates.
 func (s *Simulator) gfPhaseSpatial(ctx context.Context, cluster *comm.Cluster,
 	sigR, sigL, sigG *tensor.GTensor, piR, piL, piG *tensor.DTensor) (
 	gl, gg *tensor.GTensor, dl, dg *tensor.DTensor, o Observables, err error) {
-	p := s.Dev.P
-	gl = tensor.NewGTensor(p.Nkz, p.NE, p.NA, p.Norb)
-	gg = tensor.NewGTensor(p.Nkz, p.NE, p.NA, p.Norb)
-	dl = tensor.NewDTensor(p.Nqz, p.Nw, p.NA, p.NB, p.N3D)
-	dg = tensor.NewDTensor(p.Nqz, p.Nw, p.NA, p.NB, p.N3D)
-	o.CurrentPerEnergy = make([]float64, p.NE)
-	eWeight := p.EStep() / float64(p.Nkz)
+	g := s.newGFState(sigR, sigL, sigG, piR, piL, piG)
 	multi := cluster.MultiProcess()
-
-	// As in gfPhase, electron points come from the active energy grid
-	// with explicit quadrature weights (bitwise ΔE on the full grid).
-	grid := s.grid
-	for kz := 0; kz < p.Nkz; kz++ {
-		for _, e := range grid.Active() {
-			if cerr := ctx.Err(); cerr != nil {
-				return nil, nil, nil, nil, o, fmt.Errorf("core: GF phase cancelled: %w", cerr)
-			}
-			scat := s.scatteringBlocks(kz, e, sigR, sigL, sigG)
-			var res *rgf.ElectronResult
-			rerr := cluster.Run(func(r *comm.Rank) error {
-				// In-process, rank 0 closes the point; each process of a
-				// multi-process cluster closes it on its own replica.
-				closure := multi || r.ID == 0
-				pt, perr := rgf.SolveElectronSpatial(r, closure, s.h[kz], s.s[kz],
-					p.Energy(e), scat, s.Opts.Contacts, s.Opts.Eta)
-				if perr != nil {
-					return perr
-				}
-				if pt != nil {
-					res = pt
-				}
-				return nil
-			})
-			scat.Release()
-			if rerr != nil {
-				return nil, nil, nil, nil, o, fmt.Errorf("electron point (kz=%d, E=%d): %w", kz, e, rerr)
-			}
-			s.extractElectron(kz, e, res, gl, gg)
-			we := grid.Weight(e) / float64(p.Nkz)
-			o.CurrentL += res.CurrentL * we
-			o.CurrentR += res.CurrentR * we
-			o.EnergyCurrentL += p.Energy(e) * res.CurrentL * we
-			o.EnergyCurrentR += p.Energy(e) * res.CurrentR * we
-			o.CurrentPerEnergy[e] += res.CurrentL
-			res.Release()
+	p := s.Dev.P
+	for i, j := range g.jobs[:g.electronPoints] {
+		if cerr := ctx.Err(); cerr != nil {
+			return nil, nil, nil, nil, o, fmt.Errorf("core: GF phase cancelled: %w", cerr)
 		}
-	}
-
-	// Phonon points: process-local, worker-pool parallel as in gfPhase.
-	type job struct{ qz, w int }
-	jobs := make([]job, 0, p.Nqz*p.Nw)
-	for qz := 0; qz < p.Nqz; qz++ {
-		for w := 0; w < p.Nw; w++ {
-			jobs = append(jobs, job{qz, w})
+		leads, lerr := s.electronLeads(j.kz, j.e)
+		if lerr != nil {
+			return nil, nil, nil, nil, o, fmt.Errorf("electron point (kz=%d, E=%d): %w", j.kz, j.e, lerr)
 		}
-	}
-	var next atomic.Int64
-	var mu sync.Mutex
-	var firstErr error
-	run := func(j job) {
-		scat := s.phononScatteringBlocks(j.qz, j.w, piR, piL, piG)
-		hw := float64(p.PhononShift(j.w)) * p.EStep()
-		res, perr := rgf.SolvePhonon(s.phi[j.qz], hw, scat,
-			rgf.PhononContacts{KTL: s.Opts.PhononKTL, KTR: s.Opts.PhononKTR}, s.Opts.Eta)
+		scat := s.scatteringBlocks(j.kz, j.e, sigR, sigL, sigG)
+		var res *rgf.ElectronResult
+		rerr := cluster.Run(func(r *comm.Rank) error {
+			// In-process, rank 0 closes the point; each process of a
+			// multi-process cluster closes it on its own replica.
+			closure := multi || r.ID == 0
+			pt, perr := rgf.SolveElectronWith(r, closure, leads, s.h[j.kz], s.s[j.kz],
+				p.Energy(j.e), scat, s.Opts.Contacts, s.Opts.Eta)
+			if perr != nil {
+				return perr
+			}
+			if pt != nil {
+				res = pt
+			}
+			return nil
+		})
 		scat.Release()
-		if perr != nil {
-			mu.Lock()
-			if firstErr == nil {
-				firstErr = fmt.Errorf("phonon point (qz=%d, ω=%d): %w", j.qz, j.w, perr)
-			}
-			mu.Unlock()
-			return
+		if rerr != nil {
+			return nil, nil, nil, nil, o, fmt.Errorf("electron point (kz=%d, E=%d): %w", j.kz, j.e, rerr)
 		}
-		s.extractPhonon(j.qz, j.w, res, dl, dg)
-		res.Release()
-		mu.Lock()
-		o.HeatL += res.HeatL * eWeight
-		o.HeatR += res.HeatR * eWeight
-		mu.Unlock()
+		g.keepElectron(i, res)
 	}
-	workers := s.Opts.Workers
-	if workers > len(jobs) {
-		workers = len(jobs)
+	if err := g.runPool(ctx, g.electronPoints, len(g.jobs)); err != nil {
+		return nil, nil, nil, nil, o, err
 	}
-	tasks := make([]pool.Task, workers)
-	for i := range tasks {
-		tasks[i] = func() {
-			for {
-				idx := int(next.Add(1)) - 1
-				if idx >= len(jobs) {
-					return
-				}
-				if cerr := ctx.Err(); cerr != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = fmt.Errorf("core: GF phase cancelled: %w", cerr)
-					}
-					mu.Unlock()
-					return
-				}
-				run(jobs[idx])
-			}
-		}
-	}
-	pool.Do(tasks...)
-	if firstErr != nil {
-		return nil, nil, nil, nil, o, firstErr
-	}
-	// Dense-fill the skipped energies for the SSE phase, as in gfPhase.
-	if !grid.Full() {
-		interpolateInactiveG(gl, grid)
-		interpolateInactiveG(gg, grid)
-		grid.InterpolateValues(o.CurrentPerEnergy)
-	}
-	return gl, gg, dl, dg, o, nil
+	return g.gl, g.gg, g.dl, g.dg, g.finish(), nil
 }

@@ -66,7 +66,8 @@ func (r *ElectronResult) Release() {
 
 // SolveElectron solves one (E, kz) point of Eq. (1): boundary self-energies
 // by Sancho-Rubio on the pristine operator, then the retarded and Keldysh
-// RGF passes with the supplied scattering self-energies.
+// RGF passes with the supplied scattering self-energies. It is
+// SolveElectronWith with no stored leads and no cluster.
 //
 // The whole solve runs on workspace-arena buffers: the device operator is
 // assembled once into a pooled block-tridiagonal matrix and mutated in place
@@ -74,22 +75,21 @@ func (r *ElectronResult) Release() {
 // the arena before the function exits. The result blocks are pooled too —
 // call (*ElectronResult).Release once their contents have been consumed.
 func SolveElectron(h, s *cmat.BlockTri, energy float64, scat Scattering, c Contacts, eta float64) (*ElectronResult, error) {
-	return solveElectron(nil, true, h, s, energy, scat, c, eta)
+	return SolveElectronWith(nil, true, nil, h, s, energy, scat, c, eta)
 }
 
-// SolveElectronSpatial is SolveElectron with the retarded solve partitioned
-// across the ranks of a cluster (DistributedRetarded): every rank assembles
-// the identical operator and participates in the spatial exchange. Ranks
-// with closure=true then run the Keldysh pass, currents and dissipation on
-// the replicated diagonal and return the full result; the others return
-// (nil, nil) once the collective solve is done. Exactly the closure ranks
-// get a result, so a caller accumulating observables must pick closure
-// ranks that cover each grid point exactly once per process.
-func SolveElectronSpatial(r *comm.Rank, closure bool, h, s *cmat.BlockTri, energy float64, scat Scattering, c Contacts, eta float64) (*ElectronResult, error) {
-	return solveElectron(r, closure, h, s, energy, scat, c, eta)
-}
-
-func solveElectron(rank *comm.Rank, closure bool, h, s *cmat.BlockTri, energy float64, scat Scattering, c Contacts, eta float64) (*ElectronResult, error) {
+// SolveElectronWith is the electron solve behind SolveElectron and the Born
+// loop. leads, when non-nil, supplies the point's lead self-energies
+// (ElectronLeads) in place of a fresh decimation. A non-nil rank partitions
+// the retarded solve across its cluster (DistributedRetarded): every rank
+// assembles the identical operator and participates in the spatial
+// exchange. Ranks with closure=true then run the Keldysh pass, currents and
+// dissipation on the replicated diagonal and return the full result; the
+// others return (nil, nil) once the collective solve is done. Exactly the
+// closure ranks get a result, so a caller accumulating observables must pick
+// closure ranks that cover each grid point exactly once per process. A nil
+// rank solves locally and requires closure=true.
+func SolveElectronWith(rank *comm.Rank, closure bool, leads *Leads, h, s *cmat.BlockTri, energy float64, scat Scattering, c Contacts, eta float64) (*ElectronResult, error) {
 	if h.N != s.N || h.Bs != s.Bs {
 		return nil, fmt.Errorf("rgf: H and S shapes differ: (%d,%d) vs (%d,%d)", h.N, h.Bs, s.N, s.Bs)
 	}
@@ -97,12 +97,9 @@ func solveElectron(rank *comm.Rank, closure bool, h, s *cmat.BlockTri, energy fl
 	defer sp.End()
 	n, bs := h.N, h.Bs
 	// A = (E + iη)·S − H, before scattering: the leads are ballistic.
-	a := cmat.GetBlockTri(n, bs)
+	a := electronOperator(h, s, energy, eta)
 	defer cmat.PutBlockTri(a)
-	h.ShiftDiagInto(a, complex(energy, eta), s)
-	spb := obsSpanBoundary.Start()
-	sigL, sigR, err := BoundarySelfEnergies(a, 1e-10)
-	spb.End()
+	sigL, sigR, err := leadSelfEnergies(a, leads)
 	if err != nil {
 		return nil, err
 	}

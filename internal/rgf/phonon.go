@@ -47,13 +47,20 @@ func (r *PhononResult) Release() {
 // SolvePhonon solves one (ω, qz) point of Eq. (2):
 // (ω²·I − Φ(qz) − Π^R)·D^R = I and D^≷ = D^R·Π^≷·D^A.
 // hw is the phonon energy ℏω in eV; the squared frequency enters the
-// operator directly.
+// operator directly. It is SolvePhononWith with no stored leads.
 //
 // Like SolveElectron, the solve is arena-backed throughout: the operator
 // ω²·I − Φ is assembled in one pass into a pooled matrix (no block identity
 // is materialized) and mutated in place; result blocks are released via
 // (*PhononResult).Release.
 func SolvePhonon(phi *cmat.BlockTri, hw float64, scat PhononScattering, c PhononContacts, eta float64) (*PhononResult, error) {
+	return SolvePhononWith(nil, phi, hw, scat, c, eta)
+}
+
+// SolvePhononWith is the phonon solve behind SolvePhonon and the Born loop.
+// leads, when non-nil, supplies the point's lead self-energies
+// (PhononLeads) in place of a fresh decimation.
+func SolvePhononWith(leads *Leads, phi *cmat.BlockTri, hw float64, scat PhononScattering, c PhononContacts, eta float64) (*PhononResult, error) {
 	if hw <= 0 {
 		return nil, fmt.Errorf("rgf: phonon energy must be positive, got %g", hw)
 	}
@@ -61,12 +68,9 @@ func SolvePhonon(phi *cmat.BlockTri, hw float64, scat PhononScattering, c Phonon
 	defer sp.End()
 	n, bs := phi.N, phi.Bs
 	// A = (ω² + iη)·I − Φ.
-	a := cmat.GetBlockTri(n, bs)
+	a := phononOperator(phi, hw, eta)
 	defer cmat.PutBlockTri(a)
-	phi.ShiftIdentityInto(a, complex(hw*hw, eta))
-	spb := obsSpanBoundary.Start()
-	sigL, sigR, err := BoundarySelfEnergies(a, 1e-10)
-	spb.End()
+	sigL, sigR, err := leadSelfEnergies(a, leads)
 	if err != nil {
 		return nil, err
 	}

@@ -42,7 +42,7 @@ func SolveElectronBallistic(h, s *cmat.BlockTri, energy float64, c Contacts, eta
 	}
 	n := h.N
 	a0 := h.ShiftDiag(complex(energy, eta), s)
-	sigL, sigR, err := BoundarySelfEnergies(a0, 1e-10)
+	sigL, sigR, err := BoundarySelfEnergies(a0, leadTol)
 	if err != nil {
 		return nil, 0, err
 	}
