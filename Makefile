@@ -1,7 +1,7 @@
 # Tier-1 gate: everything a PR must keep green.
-.PHONY: check fmt build vet test race race-ft serve-test transport-test peer-test partition-test tune-test front-test device-test campaign-test adapt-test lead-test docs-lint bench bench-json
+.PHONY: check fmt build vet test race race-ft serve-test transport-test peer-test partition-test tune-test front-test device-test campaign-test adapt-test lead-test sse-race docs-lint bench bench-json
 
-check: fmt build vet test race-ft serve-test transport-test peer-test partition-test tune-test front-test device-test campaign-test adapt-test lead-test docs-lint
+check: fmt build vet test race-ft serve-test transport-test peer-test partition-test tune-test front-test device-test campaign-test adapt-test lead-test sse-race docs-lint
 
 # gofmt -l prints nothing (and exits 0) on a clean tree; any output fails
 # the gate via the grep.
@@ -113,6 +113,14 @@ adapt-test:
 lead-test:
 	go test -race -count=1 -run 'Leads' ./internal/rgf
 	go test -race -count=1 -run 'LeadCache' ./internal/core
+
+# SSE tiles under the race detector: the pool-parallel phase's tiles write
+# disjoint atom slices of one shared Σ≷/Π≷ output, and the race detector is
+# the check that those slices stay disjoint. Covers the bitwise
+# parallel-vs-serial pin, the tile partition/exact-slice pins, the Σ and Π
+# halo pins and the tile flop accounting.
+sse-race:
+	go test -race -count=1 -run 'Parallel|Tile|Halo' ./internal/sse
 
 # Docs lint: every relative markdown link in README, the root docs and
 # docs/ must resolve to an existing file, so renames can't silently rot the

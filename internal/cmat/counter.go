@@ -8,8 +8,12 @@ import "sync/atomic"
 // quoting Pflop figures for complex arithmetic (64·… byte/flop expressions
 // in §4.3 assume 8 flops per complex MAC).
 //
-// Counting is always on; the overhead is one atomic add per kernel call,
-// which is negligible next to the O(n³) work of the kernels themselves.
+// Counting is always on, at one atomic add on this shared counter per
+// kernel call. That is cheap next to the O(n³) work of a large product, but
+// not for Norb×Norb blocks: when several cores each run millions of 2×2
+// products, the counter's cache line bounces between them and the adds
+// cost more than the arithmetic. Block-level kernels (the DaCe SSE tiles)
+// therefore tally their flops locally and add them once per call.
 type FlopCounter struct {
 	flops atomic.Uint64
 }

@@ -15,73 +15,21 @@ import (
 // isolates.
 func (k *Kernel) SigmaDaCeNoLayout(g *tensor.GTensor, d *PreD) *tensor.GTensor {
 	p := k.Dev.P
-	pref := k.sigmaPref()
-	sigma := tensor.NewGTensor(p.Nkz, p.NE, p.NA, p.Norb)
 	no := p.Norb
-	dHD := make([][]*cmat.Dense, p.N3D)
-	for i := range dHD {
-		dHD[i] = make([]*cmat.Dense, p.Nqz)
-		for qz := range dHD[i] {
-			dHD[i][qz] = cmat.NewDense(p.Nw*no, no)
-		}
-	}
-	dHG := make([]*cmat.Dense, p.N3D)
-	for i := range dHG {
-		dHG[i] = cmat.NewDense(p.Nkz*p.NE*no, no)
-	}
-	for a := 0; a < p.NA; a++ {
-		for b := 0; b < p.NB; b++ {
-			f := k.Dev.Neigh[a][b]
-			if f < 0 {
-				continue
-			}
-			// Stage 1 WITHOUT the layout transformation: one small product
-			// per (kz, E) point, strided reads from the 5-D tensor.
-			for i := 0; i < p.N3D; i++ {
-				for kz := 0; kz < p.Nkz; kz++ {
-					for e := 0; e < p.NE; e++ {
-						row := (kz*p.NE + e) * no
-						dst := cmat.DenseFromSlice(no, no, dHG[i].Data[row*no:(row+no)*no])
-						g.Block(kz, e, f).MulInto(dst, k.dH[a][b][i])
-					}
-				}
-			}
-			for i := 0; i < p.N3D; i++ {
-				for qz := 0; qz < p.Nqz; qz++ {
-					stack := dHD[i][qz]
-					stack.Zero()
-					for w := 0; w < p.Nw; w++ {
-						rowBlock := cmat.DenseFromSlice(no, no,
-							stack.Data[(p.Nw-1-w)*no*no:(p.Nw-w)*no*no])
-						for j := 0; j < p.N3D; j++ {
-							rowBlock.AddScaledInPlace(pref*d.At(qz, w, a, b, i, j), k.dH[a][b][j])
-						}
-					}
-				}
-			}
-			for i := 0; i < p.N3D; i++ {
-				for qz := 0; qz < p.Nqz; qz++ {
-					stack := dHD[i][qz]
-					for kz := 0; kz < p.Nkz; kz++ {
-						k2 := wrapK(kz, qz, p.Nkz)
-						base := k2 * p.NE
-						for e := 1; e < p.NE; e++ {
-							smax := p.Nw
-							if e < smax {
-								smax = e
-							}
-							out := sigma.Block(kz, e, a)
-							vlo := (base + e - smax) * no
-							for t := 0; t < smax; t++ {
-								vb := cmat.DenseFromSlice(no, no, dHG[i].Data[(vlo+t*no)*no:(vlo+(t+1)*no)*no])
-								cb := cmat.DenseFromSlice(no, no, stack.Data[((p.Nw-smax)+t)*no*no:((p.Nw-smax)+t+1)*no*no])
-								vb.MulAddInto(out, cb)
-							}
-						}
-					}
-				}
+	sigma := tensor.NewGTensor(p.Nkz, p.NE, p.NA, no)
+	var src, dst cmat.Dense // reusable view headers
+	// Stage 1 WITHOUT the layout transformation: one small product per
+	// (kz, E) point, strided reads from the 5-D tensor.
+	perPoint := func(out, dH *cmat.Dense, f int) {
+		for kz := 0; kz < p.Nkz; kz++ {
+			for e := 0; e < p.NE; e++ {
+				row := (kz*p.NE + e) * no
+				cmat.ViewInto(&dst, no, no, out.Data[row*no:(row+no)*no])
+				g.BlockInto(&src, kz, e, f)
+				src.MulInto(&dst, dH)
 			}
 		}
 	}
+	k.sigmaDaCeTileInto(sigma, perPoint, d, 0, p.NE, 0, p.NA)
 	return sigma
 }

@@ -63,3 +63,28 @@ func TestAllocsPiVariantsSteadyState(t *testing.T) {
 		}
 	}
 }
+
+// TestAllocsComputePhaseParallelSteadyState pins the shared-output schedule
+// of the pool-parallel SSE phase: the tiles share one atom-major layout per
+// ≷ and write straight into one output, so a call allocates the outputs,
+// the preprocessed D≷, the two layouts and a few headers per tile. The
+// bound depends on the worker count only — per-bond U caches or per-tile
+// full-size tensors would scale it with NA·NB.
+func TestAllocsComputePhaseParallelSteadyState(t *testing.T) {
+	k := testKernel(t)
+	p := k.Dev.P
+	rng := rand.New(rand.NewSource(31))
+	in := PhaseInput{
+		GLess: randomAntiHermG(rng, p), GGtr: randomAntiHermG(rng, p),
+		DLess: randomD(rng, p), DGtr: randomD(rng, p),
+	}
+	for _, workers := range []int{2, 4} {
+		run := func() { k.ComputePhaseParallel(in, DaCe, workers) }
+		run() // warm the arena
+		avg := testing.AllocsPerRun(5, run)
+		if bound := float64(32 + 8*workers); avg > bound {
+			t.Errorf("workers=%d: parallel SSE phase allocates %.1f/run, want ≤ %.0f (outputs, layouts, per-tile headers)",
+				workers, avg, bound)
+		}
+	}
+}

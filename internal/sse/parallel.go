@@ -1,19 +1,19 @@
 package sse
 
 import (
-	"sync"
-
 	"negfsim/internal/pool"
 	"negfsim/internal/tensor"
 )
 
 // ComputePhaseParallel evaluates the full SSE phase with the DaCe kernels
 // parallelized over atom tiles — the shared-memory counterpart of the
-// distributed decomposition: Σ tiles write disjoint atom ranges, Π tiles
-// produce partials that are summed. Only the DaCe formulation parallelizes
-// this way (its tiles are exact slices); other variants fall back to the
-// serial path. Tiles are scheduled on the persistent worker pool rather than
-// freshly spawned goroutines.
+// distributed decomposition. The atom-major layout of G^≷ is built once and
+// shared; every tile writes its disjoint atom slice of Σ^≷ and Π^≷ straight
+// into the one output, so there is no per-tile tensor, copy or reduction,
+// and the result is bitwise that of ComputePhase. Only the DaCe formulation
+// parallelizes this way (its tiles are exact slices); other variants fall
+// back to the serial path. Tiles are scheduled on the persistent worker pool
+// rather than freshly spawned goroutines.
 func (k *Kernel) ComputePhaseParallel(in PhaseInput, v Variant, workers int) PhaseOutput {
 	p := k.Dev.P
 	if v != DaCe || workers <= 1 || p.NA < 2*workers {
@@ -23,47 +23,27 @@ func (k *Kernel) ComputePhaseParallel(in PhaseInput, v Variant, workers int) Pha
 	preLess := k.PreprocessD(in.DLess)
 	preGtr := k.PreprocessD(in.DGtr)
 	spp.End()
+	sps := obsSpanSigma.Start()
+	stage1Less, stage1Gtr := atomMajorGEMM(in.GLess.ToAtomMajor()), atomMajorGEMM(in.GGtr.ToAtomMajor())
+	sps.End()
 	out := PhaseOutput{
 		SigmaLess: tensor.NewGTensor(p.Nkz, p.NE, p.NA, p.Norb),
 		SigmaGtr:  tensor.NewGTensor(p.Nkz, p.NE, p.NA, p.Norb),
 		PiLess:    tensor.NewDTensor(p.Nqz, p.Nw, p.NA, p.NB, p.N3D),
 		PiGtr:     tensor.NewDTensor(p.Nqz, p.Nw, p.NA, p.NB, p.N3D),
 	}
-	var mu sync.Mutex
-	tasks := make([]pool.Task, 0, workers)
-	for w := 0; w < workers; w++ {
-		aLo := w * p.NA / workers
-		aHi := (w + 1) * p.NA / workers
-		if aLo == aHi {
-			continue
-		}
-		tasks = append(tasks, func() {
+	tasks := make([]pool.Task, workers)
+	for w := range tasks {
+		aLo, aHi := w*p.NA/workers, (w+1)*p.NA/workers
+		tasks[w] = func() {
 			sps := obsSpanSigma.Start()
-			sl := k.SigmaDaCeTile(in.GLess, preLess, 0, p.NE, aLo, aHi)
-			sg := k.SigmaDaCeTile(in.GGtr, preGtr, 0, p.NE, aLo, aHi)
+			k.sigmaDaCeTileInto(out.SigmaLess, stage1Less, preLess, 0, p.NE, aLo, aHi)
+			k.sigmaDaCeTileInto(out.SigmaGtr, stage1Gtr, preGtr, 0, p.NE, aLo, aHi)
 			sps.End()
 			spq := obsSpanPi.Start()
-			pl, pg := k.PiDaCeTile(in.GLess, in.GGtr, 0, p.NE, aLo, aHi)
+			k.piDaCeTileInto(out.PiLess, out.PiGtr, in.GLess, in.GGtr, 0, p.NE, aLo, aHi)
 			spq.End()
-			// Σ tiles occupy disjoint atom slices of the output; copying
-			// block-wise avoids write overlap entirely.
-			for kz := 0; kz < p.Nkz; kz++ {
-				for e := 0; e < p.NE; e++ {
-					for a := aLo; a < aHi; a++ {
-						out.SigmaLess.Block(kz, e, a).CopyFrom(sl.Block(kz, e, a))
-						out.SigmaGtr.Block(kz, e, a).CopyFrom(sg.Block(kz, e, a))
-					}
-				}
-			}
-			// Π partials: atoms are also disjoint across tiles here
-			// (energy range is full), but keep the reduction general.
-			mu.Lock()
-			for i := range out.PiLess.Data {
-				out.PiLess.Data[i] += pl.Data[i]
-				out.PiGtr.Data[i] += pg.Data[i]
-			}
-			mu.Unlock()
-		})
+		}
 	}
 	pool.Do(tasks...)
 	return out

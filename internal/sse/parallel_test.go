@@ -1,6 +1,7 @@
 package sse
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -47,4 +48,47 @@ func TestComputePhaseParallelFallsBack(t *testing.T) {
 	if d := want.SigmaLess.MaxAbsDiff(got.SigmaLess); d != 0 {
 		t.Fatalf("fallback path altered results by %g", d)
 	}
+}
+
+// TestComputePhaseParallelBitwise pins the pool-parallel SSE phase bit for
+// bit against the serial one: the tiles run the serial kernel on disjoint
+// atom slices of one shared output, so no worker count may change a single
+// bit of Σ^≷ or Π^≷.
+func TestComputePhaseParallelBitwise(t *testing.T) {
+	k := testKernel(t)
+	p := k.Dev.P
+	rng := rand.New(rand.NewSource(73))
+	in := PhaseInput{
+		GLess: randomAntiHermG(rng, p), GGtr: randomAntiHermG(rng, p),
+		DLess: randomD(rng, p), DGtr: randomD(rng, p),
+	}
+	want := k.ComputePhase(in, DaCe)
+	for _, workers := range []int{2, 3, 4, 8} {
+		got := k.ComputePhaseParallel(in, DaCe, workers)
+		for _, c := range []struct {
+			name      string
+			want, got []complex128
+		}{
+			{"Σ^<", want.SigmaLess.Data, got.SigmaLess.Data},
+			{"Σ^>", want.SigmaGtr.Data, got.SigmaGtr.Data},
+			{"Π^<", want.PiLess.Data, got.PiLess.Data},
+			{"Π^>", want.PiGtr.Data, got.PiGtr.Data},
+		} {
+			if i := firstBitDiff(c.want, c.got); i >= 0 {
+				t.Fatalf("workers=%d: %s[%d] = %v, serial %v", workers, c.name, i, c.got[i], c.want[i])
+			}
+		}
+	}
+}
+
+// firstBitDiff returns the first index at which a and b differ in any bit
+// of the real or imaginary part, or −1 when they are bitwise equal.
+func firstBitDiff(a, b []complex128) int {
+	for i := range a {
+		if math.Float64bits(real(a[i])) != math.Float64bits(real(b[i])) ||
+			math.Float64bits(imag(a[i])) != math.Float64bits(imag(b[i])) {
+			return i
+		}
+	}
+	return -1
 }

@@ -135,83 +135,9 @@ func (k *Kernel) PiOMEN(gLess, gGtr *tensor.GTensor) (piLess, piGtr *tensor.DTen
 // unshifted (kz, E) grid, so they are computed ONCE per bond — outside the
 // (qz, ω) loops — and the (qz, ω) sweep reduces to Norb² trace contractions.
 // This is the same redundancy-removal step as Fig. 10(b) applied to Π.
+//
+// It is the full-grid tile of piDaCeTileInto, the one DaCe Π kernel of the
+// serial, pool-parallel and distributed paths.
 func (k *Kernel) PiDaCe(gLess, gGtr *tensor.GTensor) (piLess, piGtr *tensor.DTensor) {
-	p := k.Dev.P
-	pref := complex(0, k.piPref())
-	piLess = tensor.NewDTensor(p.Nqz, p.Nw, p.NA, p.NB, p.N3D)
-	piGtr = tensor.NewDTensor(p.Nqz, p.Nw, p.NA, p.NB, p.N3D)
-	nke := p.Nkz * p.NE
-	// Per-bond transients, reused across bonds: U^≷[i], W^≷[j] on the whole
-	// (kz, E) grid.
-	no := p.Norb
-	alloc := func() [][]*cmat.Dense {
-		m := make([][]*cmat.Dense, p.N3D)
-		for i := range m {
-			m[i] = make([]*cmat.Dense, nke)
-			for s := range m[i] {
-				m[i][s] = cmat.GetDense(no, no)
-			}
-		}
-		return m
-	}
-	release := func(m [][]*cmat.Dense) {
-		for i := range m {
-			cmat.PutAll(m[i]...)
-		}
-	}
-	uLess, uGtr, wLess, wGtr := alloc(), alloc(), alloc(), alloc()
-	var gvL, gvG cmat.Dense // reusable block-view headers
-
-	for a := 0; a < p.NA; a++ {
-		for b := 0; b < p.NB; b++ {
-			f := k.Dev.Neigh[a][b]
-			if f < 0 {
-				continue
-			}
-			r := k.Dev.NeighborSlot(f, a)
-			if r < 0 {
-				continue
-			}
-			for kz := 0; kz < p.Nkz; kz++ {
-				for e := 0; e < p.NE; e++ {
-					idx := kz*p.NE + e
-					gLess.BlockInto(&gvL, kz, e, a)
-					gGtr.BlockInto(&gvG, kz, e, a)
-					for i := 0; i < p.N3D; i++ {
-						k.dH[f][r][i].MulInto(uLess[i][idx], &gvL)
-						k.dH[f][r][i].MulInto(uGtr[i][idx], &gvG)
-					}
-					gLess.BlockInto(&gvL, kz, e, f)
-					gGtr.BlockInto(&gvG, kz, e, f)
-					for i := 0; i < p.N3D; i++ {
-						k.dH[a][b][i].MulInto(wLess[i][idx], &gvL)
-						k.dH[a][b][i].MulInto(wGtr[i][idx], &gvG)
-					}
-				}
-			}
-			for qz := 0; qz < p.Nqz; qz++ {
-				for w := 0; w < p.Nw; w++ {
-					shift := p.PhononShift(w)
-					for kz := 0; kz < p.Nkz; kz++ {
-						k2 := wrapK(kz, -qz, p.Nkz)
-						for e := 0; e+shift < p.NE; e++ {
-							su := k2*p.NE + e + shift
-							sw := kz*p.NE + e
-							for i := 0; i < p.N3D; i++ {
-								for j := 0; j < p.N3D; j++ {
-									piAccumulate(piLess, qz, w, a, b, i, j, p.NB, pref*uLess[i][su].TraceMul(wGtr[j][sw]))
-									piAccumulate(piGtr, qz, w, a, b, i, j, p.NB, pref*uGtr[i][su].TraceMul(wLess[j][sw]))
-								}
-							}
-						}
-					}
-				}
-			}
-		}
-	}
-	release(uLess)
-	release(uGtr)
-	release(wLess)
-	release(wGtr)
-	return piLess, piGtr
+	return k.PiDaCeTile(gLess, gGtr, 0, k.Dev.P.NE, 0, k.Dev.P.NA)
 }

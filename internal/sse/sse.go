@@ -120,32 +120,34 @@ func (k *Kernel) PreprocessD(d *tensor.DTensor) *PreD {
 	p := k.Dev.P
 	out := &PreD{Nqz: d.Nqz, Nw: d.Nw, NA: p.NA, NB: p.NB, N3D: p.N3D,
 		Data: make([]complex128, d.Nqz*d.Nw*p.NA*p.NB*p.N3D*p.N3D)}
+	n2 := p.N3D * p.N3D
 	idx := 0
 	for qz := 0; qz < d.Nqz; qz++ {
 		for w := 0; w < d.Nw; w++ {
+			// block returns the (a, slot) block of D at this (qz, ω).
+			block := func(a, slot int) []complex128 {
+				off := (((qz*d.Nw+w)*p.NA+a)*(p.NB+1) + slot) * n2
+				return d.Data[off : off+n2]
+			}
 			for a := 0; a < p.NA; a++ {
 				for b := 0; b < p.NB; b++ {
 					f := k.Dev.Neigh[a][b]
 					if f < 0 {
-						idx += p.N3D * p.N3D
+						idx += n2
 						continue
 					}
-					dab := d.Block(qz, w, a, b)
-					daa := d.Block(qz, w, a, p.NB)
-					dbb := d.Block(qz, w, f, p.NB)
-					var dba *cmat.Dense
+					dab, daa, dbb := block(a, b), block(a, p.NB), block(f, p.NB)
+					var dba []complex128
 					if r := k.Dev.NeighborSlot(f, a); r >= 0 {
-						dba = d.Block(qz, w, f, r)
+						dba = block(f, r)
 					}
-					for i := 0; i < p.N3D; i++ {
-						for j := 0; j < p.N3D; j++ {
-							v := dab.At(i, j) - dbb.At(i, j) - daa.At(i, j)
-							if dba != nil {
-								v += dba.At(i, j)
-							}
-							out.Data[idx] = v
-							idx++
+					for x := range dab {
+						v := dab[x] - dbb[x] - daa[x]
+						if dba != nil {
+							v += dba[x]
 						}
+						out.Data[idx] = v
+						idx++
 					}
 				}
 			}

@@ -3,6 +3,9 @@ package sse
 import (
 	"math/rand"
 	"testing"
+
+	"negfsim/internal/cmat"
+	"negfsim/internal/tensor"
 )
 
 func TestSigmaTilesCoverFullKernel(t *testing.T) {
@@ -129,5 +132,129 @@ func TestSigmaTileUsesOnlyHaloInputs(t *testing.T) {
 	got := k.SigmaDaCeTile(poisoned, pre, eLo, eHi, aLo, aHi)
 	if d := want.MaxAbsDiff(got); d != 0 {
 		t.Fatalf("tile read outside its halo (diff %g)", d)
+	}
+}
+
+func TestPiTileUsesOnlyHaloInputs(t *testing.T) {
+	// The Π twin of TestSigmaTileUsesOnlyHaloInputs: poison G≷ outside the
+	// documented halo (energy window [eLo, eHi+Nω), atoms in the tile's
+	// neighbor set); the tile result must be bitwise unchanged. The tile is
+	// interior in energy (eHi+Nω < NE), so the U slab's upper halo edge is
+	// checked, not clipped by the grid. An eager slab that computes U one
+	// energy beyond the halo reads poison it never uses, so the tile's flop
+	// tally is pinned too: it must be exactly that of the declared windows.
+	k := testKernel(t)
+	p := k.Dev.P
+	rng := rand.New(rand.NewSource(15))
+	gl := randomAntiHermG(rng, p)
+	gg := randomAntiHermG(rng, p)
+	eLo, eHi, aLo, aHi := p.NE/4, p.NE/2, p.NA/4, p.NA/2
+	if eHi+p.Nw >= p.NE {
+		t.Fatalf("tile [%d,%d) + Nω=%d reaches the grid top NE=%d", eLo, eHi, p.Nw, p.NE)
+	}
+	cmat.Counter.Reset()
+	wantL, wantG := k.PiDaCeTile(gl, gg, eLo, eHi, aLo, aHi)
+	flops := cmat.Counter.Reset()
+
+	// Per bond: U on [eLo+1, eHi+Nω) and W on [eLo, eHi), both ≷, every
+	// direction and kz; one ≷ trace pair per (qz, ω, kz, E, i, j) whose
+	// shifted energy stays on the grid.
+	no := uint64(p.Norb)
+	products := uint64(2 * p.N3D * p.Nkz * ((eHi + p.Nw - eLo - 1) + (eHi - eLo)))
+	var traces uint64
+	for w := 0; w < p.Nw; w++ {
+		for e := eLo; e < eHi; e++ {
+			if e+p.PhononShift(w) < p.NE {
+				traces += uint64(p.Nqz * p.Nkz * 2 * p.N3D * p.N3D)
+			}
+		}
+	}
+	var bonds uint64
+	for a := aLo; a < aHi; a++ {
+		for _, f := range k.Dev.Neigh[a] {
+			if f >= 0 && k.Dev.NeighborSlot(f, a) >= 0 {
+				bonds++
+			}
+		}
+	}
+	if want := bonds * (products*8*no*no*no + traces*8*no*no); flops != want {
+		t.Fatalf("Π tile counts %d flops, declared halo gives %d", flops, want)
+	}
+
+	halo := map[int]bool{}
+	for a := aLo; a < aHi; a++ {
+		halo[a] = true
+		for _, f := range k.Dev.Neigh[a] {
+			if f >= 0 {
+				halo[f] = true
+			}
+		}
+	}
+	poison := func(g *tensor.GTensor) *tensor.GTensor {
+		out := g.Clone()
+		for kz := 0; kz < p.Nkz; kz++ {
+			for e := 0; e < p.NE; e++ {
+				for a := 0; a < p.NA; a++ {
+					if e >= eLo && e < eHi+p.Nw && halo[a] {
+						continue
+					}
+					blk := out.Block(kz, e, a)
+					for i := range blk.Data {
+						blk.Data[i] = complex(1e6, -1e6)
+					}
+				}
+			}
+		}
+		return out
+	}
+	gotL, gotG := k.PiDaCeTile(poison(gl), poison(gg), eLo, eHi, aLo, aHi)
+	if i := firstBitDiff(wantL.Data, gotL.Data); i >= 0 {
+		t.Fatalf("Π^< tile read outside its halo (element %d: %v vs %v)", i, gotL.Data[i], wantL.Data[i])
+	}
+	if i := firstBitDiff(wantG.Data, gotG.Data); i >= 0 {
+		t.Fatalf("Π^> tile read outside its halo (element %d: %v vs %v)", i, gotG.Data[i], wantG.Data[i])
+	}
+}
+
+// TestTileFlopsPartitionFullCall pins the flop accounting of the tile
+// kernels: over a partition of the atoms (the tile shape of the
+// pool-parallel phase), the cmat.Counter deltas of SigmaDaCeTile and
+// PiDaCeTile sum to those of the full-range SigmaDaCe/PiDaCe call, and the
+// pool-parallel phase counts exactly what the serial phase counts. (Energy
+// tiles recompute their halo products — Σ's stage 1 on the whole grid, Π's
+// U slab on the E+ℏω window — so they count more than the full call.)
+func TestTileFlopsPartitionFullCall(t *testing.T) {
+	k := testKernel(t)
+	p := k.Dev.P
+	rng := rand.New(rand.NewSource(16))
+	in := PhaseInput{
+		GLess: randomAntiHermG(rng, p), GGtr: randomAntiHermG(rng, p),
+		DLess: randomD(rng, p), DGtr: randomD(rng, p),
+	}
+	pre := k.PreprocessD(in.DLess)
+	count := func(run func()) uint64 {
+		cmat.Counter.Reset()
+		run()
+		return cmat.Counter.Reset()
+	}
+	cuts := []int{0, 5, p.NA / 2, p.NA - 3, p.NA}
+	sigFull := count(func() { k.SigmaDaCe(in.GLess, pre) })
+	piFull := count(func() { k.PiDaCe(in.GLess, in.GGtr) })
+	var sigSum, piSum uint64
+	for c := 1; c < len(cuts); c++ {
+		sigSum += count(func() { k.SigmaDaCeTile(in.GLess, pre, 0, p.NE, cuts[c-1], cuts[c]) })
+		piSum += count(func() { k.PiDaCeTile(in.GLess, in.GGtr, 0, p.NE, cuts[c-1], cuts[c]) })
+	}
+	if sigSum != sigFull || sigFull == 0 {
+		t.Fatalf("Σ tiles count %d flops, full call %d", sigSum, sigFull)
+	}
+	if piSum != piFull || piFull == 0 {
+		t.Fatalf("Π tiles count %d flops, full call %d", piSum, piFull)
+	}
+	serial := count(func() { k.ComputePhase(in, DaCe) })
+	for _, workers := range []int{2, 3, 8} {
+		if got := count(func() { k.ComputePhaseParallel(in, DaCe, workers) }); got != serial {
+			t.Fatalf("workers=%d: parallel phase counts %d flops, serial %d", workers, got, serial)
+		}
 	}
 }

@@ -99,14 +99,20 @@ type AtomMajor struct {
 	Atom []*cmat.Dense
 }
 
-// ToAtomMajor performs the layout transformation (a full copy of G).
+// ToAtomMajor performs the layout transformation (a full copy of G). All
+// atoms share one backing array, so the copy costs a constant number of
+// allocations whatever NA.
 func (g *GTensor) ToAtomMajor() *AtomMajor {
 	am := &AtomMajor{Nkz: g.Nkz, NE: g.NE, NA: g.NA, Norb: g.Norb,
 		Atom: make([]*cmat.Dense, g.NA)}
 	rows := g.Nkz * g.NE * g.Norb
+	n := rows * g.Norb
+	data := make([]complex128, g.NA*n)
+	mats := make([]cmat.Dense, g.NA)
 	var src cmat.Dense
-	for a := 0; a < g.NA; a++ {
-		m := cmat.NewDense(rows, g.Norb)
+	for a := range am.Atom {
+		m := &mats[a]
+		cmat.ViewInto(m, rows, g.Norb, data[a*n:(a+1)*n:(a+1)*n])
 		for kz := 0; kz < g.Nkz; kz++ {
 			for e := 0; e < g.NE; e++ {
 				g.BlockInto(&src, kz, e, a)
