@@ -128,10 +128,14 @@ sse-race:
 docs-lint:
 	go test -count=1 -run TestDocLinks .
 
-# Table/figure benchmarks plus the kernel-engine micro-benchmarks.
+# Table/figure benchmarks plus the kernel-engine micro-benchmarks. The
+# crossover sweep (naive vs blocked vs dispatched GEMM, n = 2…32) runs on
+# the default time budget: its sub-microsecond products need more than 20
+# iterations to time.
 bench:
 	go test -bench . -benchtime 3x -run '^$$' .
-	go test -bench 'BenchmarkGEMM' -benchtime 20x -run '^$$' ./internal/cmat
+	go test -bench 'BenchmarkGEMM[0-9]' -benchtime 20x -run '^$$' ./internal/cmat
+	go test -bench 'BenchmarkGEMMCrossover' -benchtime 100ms -run '^$$' ./internal/cmat
 
 # Machine-readable benchmark snapshot for this PR: uniform-vs-adaptive
 # converged Born solves on two zoo devices (energy points solved + wall

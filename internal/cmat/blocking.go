@@ -24,8 +24,11 @@ type Blocking struct {
 	// NC is the column-panel width: a packed panel is ≤ KC·NC·16 bytes and
 	// should fit comfortably in L2.
 	NC int `json:"nc"`
-	// MinWork is the R·K·C product volume above which the blocked engine is
-	// tried; below it packing overhead exceeds the cache savings.
+	// MinWork is the R·K·C product volume from which the blocked engine is
+	// tried; below it packing overhead exceeds the cache savings. Hosts
+	// without the AVX2+FMA micro-kernel raise it to at least 32³ at dispatch
+	// (the pure-Go micro-kernel does not pay off below that), so the value
+	// itself stays host-independent.
 	MinWork int `json:"min_work"`
 	// MinDensity is the sparse-vs-dense crossover: the minimum nonzero
 	// fraction of the left operand for the blocked path (Table 6's
@@ -38,6 +41,7 @@ type Blocking struct {
 
 // DefaultBlocking returns the compile-time constants as a Blocking — the
 // configuration every run uses unless a schedule swaps in something else.
+// It reads no CPU features: the same value on every host.
 func DefaultBlocking() Blocking {
 	return Blocking{
 		KC:         gemmKC,

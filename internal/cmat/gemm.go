@@ -35,10 +35,18 @@ const (
 	gemmNR = 4   // micro-tile width (columns)
 	gemmMR = 2   // micro-tile height (rows)
 
-	// blockedMinWork is the R·K·C product volume above which the blocked
-	// engine is tried; below it the packing and dispatch overhead exceeds
-	// the cache savings and the naive kernel wins.
-	blockedMinWork = 32 * 32 * 32
+	// blockedMinWork is the R·K·C product volume from which the blocked
+	// engine is tried when the AVX2+FMA micro-kernel is available. Measured
+	// on square n×n products (BenchmarkGEMMCrossover), the assembly kernel
+	// beats the naive loop from n = 4 up (2–3× at 8, ≈4.5× at the RGF's
+	// 16×16 and 24×24 blocks) and loses only at n = 2; 8³ keeps the
+	// Norb×Norb blocks (≤ 6×6) on the naive loop with margin to spare.
+	blockedMinWork = 8 * 8 * 8
+
+	// goKernelMinWork is the crossover floor when only the pure-Go
+	// micro-kernel is available: it is no faster than the naive loop at
+	// 16³ and 24³ and slower at 8³, so products below 32³ stay naive there.
+	goKernelMinWork = 32 * 32 * 32
 
 	// blockedMinDensity is the minimum nonzero fraction of the left operand
 	// for the blocked path: below it the naive kernel's a==0 row skip
@@ -77,7 +85,8 @@ var (
 // gemm computes out += m·n (accumulate) or out = m·n, dispatching between
 // the naive and the blocked kernel on size and left-operand density. The
 // thresholds and panel sizes come from the installed Blocking (one atomic
-// pointer load per product; see SetBlocking).
+// pointer load per product; see SetBlocking); without the assembly
+// micro-kernel the size threshold is at least goKernelMinWork.
 func (m *Dense) gemm(out, n *Dense, accumulate bool) {
 	R, K, C := m.Rows, m.Cols, n.Cols
 	if K == 0 {
@@ -87,7 +96,11 @@ func (m *Dense) gemm(out, n *Dense, accumulate bool) {
 		return
 	}
 	b := active.Load()
-	if R*K*C < b.MinWork || C < gemmNR || !denseEnough(m, b.MinDensity) {
+	minWork := b.MinWork
+	if !useAsmKernel && minWork < goKernelMinWork {
+		minWork = goKernelMinWork
+	}
+	if R*K*C < minWork || C < gemmNR || !denseEnough(m, b.MinDensity) {
 		obsGemmNaive.Inc()
 		if !accumulate {
 			out.Zero()
@@ -123,8 +136,13 @@ func (m *Dense) mulBlocked(out, n *Dense, accumulate bool, kcMax, ncMax int) {
 	if C < ncMax {
 		ncMax = C
 	}
+	// The pack buffer holds one packed panel: at most min(K, kcMax) rows.
+	kcPanel := kcMax
+	if K < kcPanel {
+		kcPanel = K
+	}
 	stripsMax := num.CeilDiv(ncMax, gemmNR)
-	pack := getDenseNoZero(1, kcMax*stripsMax*gemmNR)
+	pack := getDenseNoZero(1, kcPanel*stripsMax*gemmNR)
 	pb := pack.Data
 	for kb := 0; kb < K; kb += kcMax {
 		kc := K - kb

@@ -62,13 +62,18 @@ func CacheDir() (string, error) {
 }
 
 // CachePath returns the schedule file path for this host.
-func CachePath() (string, error) {
+func CachePath() (string, error) { return cachePathFor(HostKey()) }
+
+// cachePathFor returns the schedule file path for a host key: the key's
+// hash names the file, so a new key (another host, GOMAXPROCS or kernel
+// generation) never finds an old key's file.
+func cachePathFor(hostKey string) (string, error) {
 	dir, err := CacheDir()
 	if err != nil {
 		return "", err
 	}
 	h := fnv.New64a()
-	h.Write([]byte(HostKey()))
+	h.Write([]byte(hostKey))
 	return filepath.Join(dir, fmt.Sprintf("schedule-%016x.json", h.Sum64())), nil
 }
 

@@ -33,8 +33,10 @@ const ScheduleVersion = 1
 
 // LibraryVersion names the kernel generation a schedule was tuned against.
 // It is folded into the host key, so a cache entry measured on older
-// kernels is invalidated by a version bump here.
-const LibraryVersion = "negfsim-kernels-2"
+// kernels is invalidated by a version bump here. Generation 3 moved the
+// naive↔blocked crossover (cmat.Blocking.MinWork, which the search copies
+// from the defaults) from 32³ to 8³; older caches would reinstall 32³.
+const LibraryVersion = "negfsim-kernels-3"
 
 // Tile records the volume-minimizing (TE, TA) decomposition the search
 // found for one device shape and process count — the §4.1 decision,

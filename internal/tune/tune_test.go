@@ -261,6 +261,42 @@ func TestCacheFallbacks(t *testing.T) {
 	}
 }
 
+// TestCacheFromOlderKernelsFallsBack pins the kernel-generation bump: a
+// schedule saved under the previous LibraryVersion carries that
+// generation's min_work (32³) and must not be reinstalled. It sits under
+// the old host key's hash, which this build never looks up.
+func TestCacheFromOlderKernelsFallsBack(t *testing.T) {
+	const oldVersion = "negfsim-kernels-2"
+	if LibraryVersion == oldVersion {
+		t.Fatal("LibraryVersion was not bumped past the 32³-crossover generation")
+	}
+	withTempCache(t)
+	old := DefaultSchedule()
+	old.HostKey = strings.TrimSuffix(HostKey(), LibraryVersion) + oldVersion
+	old.GEMM.MinWork = 32 * 32 * 32
+	data, err := old.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	path, err := cachePathFor(old.HostKey)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, hit := LoadCached(t.Logf)
+	if hit {
+		t.Fatal("a schedule tuned against the previous kernel generation was reported as a hit")
+	}
+	if !reflect.DeepEqual(got, DefaultSchedule()) {
+		t.Fatalf("fallback is not the default schedule: %+v", got)
+	}
+}
+
 // TestCacheAbsentIsSilent checks a simply-missing cache file warns
 // nothing (first run on a host is not an anomaly) but still counts a miss.
 func TestCacheAbsentIsSilent(t *testing.T) {
