@@ -1,5 +1,5 @@
 # Tier-1 gate: everything a PR must keep green.
-.PHONY: check fmt build vet test race race-ft serve-test transport-test peer-test partition-test tune-test front-test device-test campaign-test adapt-test lead-test sse-race docs-lint bench bench-json
+.PHONY: check fmt build vet test race race-ft serve-test transport-test peer-test partition-test tune-test front-test device-test campaign-test adapt-test lead-test sse-race docs-lint bench bench-json core-loc
 
 check: fmt build vet test race-ft serve-test transport-test peer-test partition-test tune-test front-test device-test campaign-test adapt-test lead-test sse-race docs-lint
 
@@ -145,3 +145,9 @@ bench-json:
 	go test -bench 'BenchmarkAdapt' -benchtime 3x -run '^$$' ./internal/core \
 	  | go run ./cmd/benchjson -out BENCH_10.json
 	@echo wrote BENCH_10.json
+
+# Non-test line count of internal/core, the figure the ROADMAP tracks from
+# change to change (each behaviour has one implementation). Not part of
+# check: it is a measurement, not a gate.
+core-loc:
+	@find internal/core -name '*.go' ! -name '*_test.go' | xargs cat | wc -l

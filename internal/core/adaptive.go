@@ -98,8 +98,15 @@ func (s *Simulator) RunAdaptive(ac AdaptConfig) (*Result, int64, error) {
 // grid.
 func (s *Simulator) RunAdaptiveCtx(ctx context.Context, ac AdaptConfig) (*Result, int64, error) {
 	p := s.Dev.P
-	if ac.Dist != nil && ac.Dist.Cluster != nil && ac.Dist.Cluster.MultiProcess() {
-		return nil, 0, fmt.Errorf("core: adaptive refinement is not supported on multi-process clusters (the grid controller must be singular)")
+	var dc DistConfig
+	if ac.Dist != nil {
+		if ac.Dist.Cluster != nil && ac.Dist.Cluster.MultiProcess() {
+			return nil, 0, fmt.Errorf("core: adaptive refinement is not supported on multi-process clusters (the grid controller must be singular)")
+		}
+		if err := s.checkDist(*ac.Dist); err != nil {
+			return nil, 0, err
+		}
+		dc = *ac.Dist
 	}
 	cfg := egrid.Config{TolCurrent: ac.Tol, MinNE: ac.MinNE, MaxNE: ac.MaxNE, MaxRounds: ac.MaxRounds}
 
@@ -139,17 +146,9 @@ func (s *Simulator) RunAdaptiveCtx(ctx context.Context, ac AdaptConfig) (*Result
 			return nil, err
 		}
 		obsPointsActive.Set(int64(grid.NumActive()))
-		var res *Result
-		var err error
-		if ac.Dist != nil {
-			dc := *ac.Dist
-			dc.Resume = seed
-			var bytes int64
-			res, bytes, err = s.RunDistributedFTCtx(ctx, dc)
-			totalBytes += bytes
-		} else {
-			res, err = s.run(ctx, seed)
-		}
+		dc.Resume = seed
+		res, bytes, err := s.born(ctx, dc)
+		totalBytes += bytes
 		if err != nil {
 			return nil, err
 		}
@@ -160,12 +159,7 @@ func (s *Simulator) RunAdaptiveCtx(ctx context.Context, ac AdaptConfig) (*Result
 		return res, nil
 	}
 	chain := func(res *Result) *Checkpoint {
-		return &Checkpoint{
-			Params: p, Kind: s.Dev.Kind, DevFP: s.Dev.Fingerprint(),
-			Iterations: res.Iterations,
-			SigmaLess:  res.SigmaLess, SigmaGtr: res.SigmaGtr,
-			PiLess: res.PiLess, PiGtr: res.PiGtr,
-		}
+		return s.checkpointOf(res.Iterations, res.SigmaLess, res.SigmaGtr, res.PiLess, res.PiGtr)
 	}
 	for {
 		grid := ctrl.Grid()

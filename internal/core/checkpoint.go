@@ -117,8 +117,6 @@ func (s *Simulator) RunFrom(ck *Checkpoint) (*Result, error) {
 // RunFromCtx is RunFrom bound to a context, with RunCtx's cancellation
 // semantics (checked at iteration boundaries and per GF grid point).
 func (s *Simulator) RunFromCtx(ctx context.Context, ck *Checkpoint) (*Result, error) {
-	if err := ck.CompatibleDevice(s.Dev); err != nil {
-		return nil, err
-	}
-	return s.run(ctx, ck)
+	res, _, err := s.born(ctx, DistConfig{Resume: ck})
+	return res, err
 }

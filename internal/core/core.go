@@ -9,7 +9,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"runtime"
@@ -362,19 +361,6 @@ func (s *Simulator) extractPhonon(qz, w int, res *rgf.PhononResult, dl, dg *tens
 	}
 }
 
-// gfPhase runs the full GF phase: all (kz, E) electron points and all
-// (qz, ω) phonon points, dynamically scheduled over the persistent worker
-// pool (at most Workers concurrent points). It returns fresh Green's
-// function tensors and the contact observables.
-func (s *Simulator) gfPhase(ctx context.Context, sigR, sigL, sigG *tensor.GTensor, piR, piL, piG *tensor.DTensor) (
-	gl, gg *tensor.GTensor, dl, dg *tensor.DTensor, o Observables, err error) {
-	g := s.newGFState(sigR, sigL, sigG, piR, piL, piG)
-	if err := g.runPool(ctx, 0, len(g.jobs)); err != nil {
-		return nil, nil, nil, nil, o, err
-	}
-	return g.gl, g.gg, g.dl, g.dg, g.finish(), nil
-}
-
 // gfJob is one grid point of the GF phase: an electron (kz, E) point, or
 // a phonon (qz, ω) point when e < 0.
 type gfJob struct{ kz, e, qz, w int }
@@ -565,122 +551,9 @@ func (s *Simulator) Run() (*Result, error) { return s.RunCtx(context.Background(
 // Born iteration. The partially computed result is discarded; callers that
 // need restartability should checkpoint via OnIteration or use the
 // fault-tolerant distributed runner.
-func (s *Simulator) RunCtx(ctx context.Context) (*Result, error) { return s.run(ctx, nil) }
-
-// run is the Born loop, optionally seeded with checkpointed self-energies.
-func (s *Simulator) run(ctx context.Context, ck *Checkpoint) (*Result, error) {
-	res := &Result{}
-	var sigR, sigL, sigG *tensor.GTensor
-	var piR, piL, piG *tensor.DTensor
-	var prevL, prevG *tensor.GTensor
-	if ck != nil {
-		sigL, sigG = ck.SigmaLess.Clone(), ck.SigmaGtr.Clone()
-		piL, piG = ck.PiLess.Clone(), ck.PiGtr.Clone()
-		sigR = sse.Retarded(sigL, sigG)
-		piR = sse.RetardedD(piL, piG)
-	}
-	var anderson *andersonState
-	if s.Opts.Mixer == Anderson {
-		h := s.Opts.AndersonHistory
-		if h <= 0 {
-			h = 3
-		}
-		anderson = newAndersonState(h)
-	}
-
-	for iter := 0; iter < s.Opts.MaxIter; iter++ {
-		if cerr := ctx.Err(); cerr != nil {
-			return nil, fmt.Errorf("core: run cancelled before iteration %d: %w", iter+1, cerr)
-		}
-		st := IterStats{Iter: iter + 1, Residual: math.NaN()}
-		var snap []obs.TimerStat
-		if s.Opts.OnIteration != nil && obs.Enabled() {
-			snap = obs.TimerStats()
-		}
-		t0 := time.Now()
-		gl, gg, dl, dg, o, err := s.gfPhase(ctx, sigR, sigL, sigG, piR, piL, piG)
-		if err != nil {
-			return nil, err
-		}
-		st.GF = time.Since(t0)
-		res.Timings.GF += st.GF
-		obsSpanGF.Observe(st.GF)
-		res.GLess, res.GGtr, res.DLess, res.DGtr = gl, gg, dl, dg
-		res.Obs = o
-		res.Iterations = iter + 1
-
-		if prevL != nil {
-			r := relChange(prevL, gl)
-			if rg := relChange(prevG, gg); rg > r {
-				r = rg
-			}
-			if math.IsNaN(r) || math.IsInf(r, 0) {
-				return res, errors.New("core: Born iteration diverged (non-finite Green's functions)")
-			}
-			res.Residuals = append(res.Residuals, r)
-			st.Residual = r
-			if r < s.Opts.Tol {
-				res.Converged = true
-				st.Converged = true
-				s.emitIterStats(&st, t0, snap)
-				break
-			}
-		}
-		prevL, prevG = gl, gg
-
-		t1 := time.Now()
-		out := s.Kernel.ComputePhaseParallel(sse.PhaseInput{GLess: gl, GGtr: gg, DLess: dl, DGtr: dg}, s.Opts.Variant, s.Opts.Workers)
-		st.SSE = time.Since(t1)
-		res.Timings.SSE += st.SSE
-		obsSpanSSE.Observe(st.SSE)
-		t2 := time.Now()
-		sse.AntiHermitize(out.SigmaLess)
-		sse.AntiHermitize(out.SigmaGtr)
-		switch {
-		case anderson != nil:
-			if sigL == nil {
-				sigL = tensor.NewGTensor(gl.Nkz, gl.NE, gl.NA, gl.Norb)
-				sigG = tensor.NewGTensor(gl.Nkz, gl.NE, gl.NA, gl.Norb)
-				piL = tensor.NewDTensor(dl.Nqz, dl.Nw, dl.NA, dl.NB, dl.N3D)
-				piG = tensor.NewDTensor(dl.Nqz, dl.Nw, dl.NA, dl.NB, dl.N3D)
-			}
-			x := concatSelfEnergies(sigL, sigG, piL, piG)
-			g := concatSelfEnergies(out.SigmaLess, out.SigmaGtr, out.PiLess, out.PiGtr)
-			scatterSelfEnergies(anderson.update(x, g, s.Opts.Mixing), sigL, sigG, piL, piG)
-		case sigL == nil:
-			sigL, sigG = out.SigmaLess, out.SigmaGtr
-			piL, piG = out.PiLess, out.PiGtr
-		default:
-			mixG(sigL, out.SigmaLess, s.Opts.Mixing)
-			mixG(sigG, out.SigmaGtr, s.Opts.Mixing)
-			mixD(piL, out.PiLess, s.Opts.Mixing)
-			mixD(piG, out.PiGtr, s.Opts.Mixing)
-		}
-		sigR = sse.Retarded(sigL, sigG)
-		piR = sse.RetardedD(piL, piG)
-		st.Mix = time.Since(t2)
-		obsSpanMix.Observe(st.Mix)
-		res.SigmaLess, res.SigmaGtr = sigL, sigG
-		res.PiLess, res.PiGtr = piL, piG
-		s.emitIterStats(&st, t0, snap)
-	}
-	res.Obs.DissipationPerAtom, res.Obs.EnergyDissipationPerAtom = s.dissipationPerAtom(res)
-	return res, nil
-}
-
-// emitIterStats completes an iteration's stats (wall time, span deltas) and
-// delivers them to the OnIteration hook, if any. iterStart is the instant
-// the iteration began; snap is the obs timer snapshot taken then (nil when
-// obs recording was off or no hook is set).
-func (s *Simulator) emitIterStats(st *IterStats, iterStart time.Time, snap []obs.TimerStat) {
-	if s.Opts.OnIteration == nil {
-		return
-	}
-	st.Wall = time.Since(iterStart)
-	if snap != nil {
-		st.Spans = obs.TimerDelta(snap)
-	}
-	s.Opts.OnIteration(*st)
+func (s *Simulator) RunCtx(ctx context.Context) (*Result, error) {
+	res, _, err := s.born(ctx, DistConfig{})
+	return res, err
 }
 
 // relChange returns max|a−b| / (1 + max|b|).

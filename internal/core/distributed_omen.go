@@ -133,7 +133,7 @@ func (s *Simulator) distributedSSEOMENOn(cluster *comm.Cluster, in sse.PhaseInpu
 						continue
 					}
 					var buf []complex128
-					for _, pr := range s.ownPairsOf(d, procs) {
+					for _, pr := range s.ownPairs(d, procs) {
 						down, up, dOK, uOK := shiftedPoints(pr[0], pr[1], qz, shift, p.Nkz, p.NE)
 						if dOK && pairOwner(down[0], down[1], p.NE, procs) == r.ID {
 							buf = packPoint(in.GLess, down[0], down[1], buf)
@@ -229,9 +229,6 @@ func (s *Simulator) distributedSSEOMENOn(cluster *comm.Cluster, in sse.PhaseInpu
 	out.MeasuredBytes = cluster.TotalBytes()
 	return out, nil
 }
-
-// ownPairsOf is ownPairs for an arbitrary rank.
-func (s *Simulator) ownPairsOf(rank, procs int) [][2]int { return s.ownPairs(rank, procs) }
 
 func allAtoms(na int) []int {
 	out := make([]int, na)

@@ -214,12 +214,8 @@ func (c *RunConfig) Validate() error {
 	if _, err := c.SSEVariant(); err != nil {
 		return err
 	}
-	mixer, err := c.mixerKind()
-	if err != nil {
+	if _, err := c.mixerKind(); err != nil {
 		return err
-	}
-	if mixer == Anderson && (c.Dist != "" || c.Space >= 2) {
-		return fmt.Errorf("core: run config: mixer: %q is not supported with dist or space (the distributed Born loop mixes linearly)", c.Mixer)
 	}
 	if c.MaxIter <= 0 {
 		return fmt.Errorf("core: run config: max_iter must be positive, got %d", c.MaxIter)

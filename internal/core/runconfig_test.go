@@ -108,18 +108,20 @@ func TestRunConfigValidate(t *testing.T) {
 		"dist plus gate":   func(c *RunConfig) { c.Dist = "2x2"; g := DefaultGate(0.2, 0); c.Gate = &g },
 		"gate no outer":    func(c *RunConfig) { g := DefaultGate(0.2, 0); g.MaxOuter = 0; c.Gate = &g },
 		"negative workers": func(c *RunConfig) { c.Workers = -1 },
-		"anderson dist":    func(c *RunConfig) { c.Mixer = "anderson"; c.Dist = "1x2" },
-		"anderson space":   func(c *RunConfig) { c.Mixer = "anderson"; c.Space = 2 },
 	} {
 		if err := bad(mut); err == nil {
 			t.Errorf("%s: Validate accepted an invalid config", name)
 		}
 	}
-	// The distributed Born loop mixes linearly, so Anderson there is
-	// refused with the field named, not run as linear mixing.
-	if err := bad(func(c *RunConfig) { c.Mixer = "Anderson"; c.Space = 2 }); err == nil ||
-		!strings.Contains(err.Error(), "mixer") {
-		t.Errorf("anderson with space: error %v does not name the mixer field", err)
+	// Every execution path runs the one Born loop, so Anderson mixing is
+	// valid with dist and space too (TestMixerPathMatrix runs it).
+	for name, mut := range map[string]func(*RunConfig){
+		"anderson dist":  func(c *RunConfig) { c.Mixer = "anderson"; c.Dist = "1x2" },
+		"anderson space": func(c *RunConfig) { c.Mixer = "Anderson"; c.Space = 2 },
+	} {
+		if err := bad(mut); err != nil {
+			t.Errorf("%s: Validate rejected a valid config: %v", name, err)
+		}
 	}
 	c := DefaultRunConfig()
 	if err := c.Validate(); err != nil {

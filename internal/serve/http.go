@@ -132,7 +132,7 @@ func (a *API) submit(w http.ResponseWriter, r *http.Request) {
 			cfg.Version, core.RunConfigVersion, core.RunConfigLegacyVersion)
 		return
 	}
-	j, err := a.s.SubmitFrom(cfg, ck)
+	_, st, err := a.s.submit(cfg, ck)
 	switch {
 	case errors.Is(err, ErrQueueFull):
 		writeError(w, http.StatusTooManyRequests, "%v", err)
@@ -141,7 +141,7 @@ func (a *API) submit(w http.ResponseWriter, r *http.Request) {
 	case err != nil:
 		writeError(w, http.StatusBadRequest, "%v", err)
 	default:
-		writeJSON(w, http.StatusAccepted, j.Status())
+		writeJSON(w, http.StatusAccepted, st)
 	}
 }
 

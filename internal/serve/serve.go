@@ -375,33 +375,42 @@ func (s *Scheduler) Submit(cfg core.RunConfig) (*Job, error) {
 // the config's device exactly and the run must be a plain serial one —
 // distributed and Gummel-coupled runs manage their own checkpointing.
 func (s *Scheduler) SubmitFrom(cfg core.RunConfig, ck *core.Checkpoint) (*Job, error) {
+	j, _, err := s.submit(cfg, ck)
+	return j, err
+}
+
+// submit is SubmitFrom that also returns the job's status as admitted,
+// snapshotted inside the admission critical section: a runner may pick
+// the job up the moment the lock drops, so a Status read afterwards can
+// already say running.
+func (s *Scheduler) submit(cfg core.RunConfig, ck *core.Checkpoint) (*Job, Status, error) {
 	if s.cfg.DefaultAdapt != nil && cfg.Adapt == nil &&
 		cfg.Dist == "" && cfg.Space < 2 && cfg.Gate == nil {
 		a := *s.cfg.DefaultAdapt
 		cfg.Adapt = &a
 	}
 	if err := cfg.Validate(); err != nil {
-		return nil, err
+		return nil, Status{}, err
 	}
 	if ck != nil {
 		if cfg.Dist != "" || cfg.Space >= 2 || cfg.Gate != nil {
-			return nil, errors.New("serve: warm start applies to plain serial runs only (no dist, no space, no gate)")
+			return nil, Status{}, errors.New("serve: warm start applies to plain serial runs only (no dist, no space, no gate)")
 		}
 		if err := ck.Compatible(cfg.Device); err != nil {
-			return nil, err
+			return nil, Status{}, err
 		}
 		if err := ck.CompatibleGrid(cfg.AdaptEnabled()); err != nil {
-			return nil, err
+			return nil, Status{}, err
 		}
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
-		return nil, ErrClosed
+		return nil, Status{}, ErrClosed
 	}
 	if len(s.pending) >= s.cfg.QueueDepth {
 		obsRejected.Inc()
-		return nil, ErrQueueFull
+		return nil, Status{}, ErrQueueFull
 	}
 	s.nextID++
 	j := &Job{
@@ -424,7 +433,7 @@ func (s *Scheduler) SubmitFrom(cfg core.RunConfig, ck *core.Checkpoint) (*Job, e
 	s.pending = append(s.pending, j)
 	obsSubmitted.Inc()
 	s.cond.Signal()
-	return j, nil
+	return j, j.Status(), nil
 }
 
 // Get returns the job with the given id, if it is still in the store.
